@@ -28,9 +28,9 @@
 //!   Hilbert grid, the lane-stepped `u64` automaton fast path
 //!   (points/s; higher is better),
 //! * **concurrent ingest throughput** — [`sim::ingest_concurrent`]
-//!   feeding the dispatcher through 4 producer threads, the sharded
-//!   [`cascade::IngestRing`], and the bulk heapify-append drain
-//!   (requests/s; higher is better),
+//!   feeding the dispatcher through 4 producer threads, each filling its
+//!   disjoint slice of one value buffer, then one bulk heapify-append
+//!   insert (requests/s; higher is better),
 //! * **SFC mapping latency** — `Hilbert(3 dims, 2^7 side)` index
 //!   mapping (ns/op; lower is better).
 //!
@@ -385,10 +385,11 @@ fn bench_characterize(seed: u64) -> (f64, f64) {
 
 /// Concurrent ingest throughput: one arrival chunk pushed into the
 /// dispatcher through [`ingest_concurrent`] — 4 producer threads
-/// batch-characterizing their slices into the sharded
-/// [`cascade::IngestRing`], drained through the bulk heapify-append —
-/// vs the per-request serial enqueue loop on an identical scheduler.
-/// Returns `(concurrent, serial)` in requests/s.
+/// batch-characterizing their slices into disjoint slices of one value
+/// buffer, then one bulk heapify-append insert — vs the serial
+/// [`DiskScheduler::enqueue_batch`] of the same chunk on an identical
+/// scheduler, so the ratio isolates the gain from threads (both sides
+/// batch). Returns `(concurrent, serial)` in requests/s.
 fn bench_mpsc(seed: u64) -> (f64, f64) {
     let trace = PoissonConfig::figure8(32_768).generate(seed);
     let cfg = characterize_config();
@@ -418,10 +419,7 @@ fn bench_mpsc(seed: u64) -> (f64, f64) {
 
         let mut s = CascadedSfc::new(cfg.clone()).expect("valid config");
         let start = Instant::now();
-        for r in &trace {
-            let h = HeadState::new(head.cylinder, r.arrival_us, head.cylinders);
-            s.enqueue(r.clone(), &h);
-        }
+        s.enqueue_batch(&trace, &head);
         serial = serial.max(trace.len() as f64 / start.elapsed().as_secs_f64().max(1e-9));
         while let Some(r) = s.dequeue(&head) {
             black_box(r.id);
@@ -455,7 +453,7 @@ pub fn measure_speedups(seed: u64, samples: u32) -> Vec<String> {
             ch.0 / ch.1.max(1e-9)
         ),
         format!(
-            "ingest: 4-producer {:.0} req/s vs serial enqueue {:.0} req/s (x{:.2})",
+            "ingest: 4-producer {:.0} req/s vs serial enqueue_batch {:.0} req/s (x{:.2})",
             mp.0,
             mp.1,
             mp.0 / mp.1.max(1e-9)

@@ -301,8 +301,9 @@ impl Dispatcher {
         }
     }
 
-    /// Insert a characterized arrival chunk in one pass, each request
-    /// timestamped at its own arrival.
+    /// Insert a characterized arrival chunk in one pass — `values[i]` is
+    /// the characterization of `chunk[i]` — each request timestamped at
+    /// its own arrival.
     ///
     /// Routing replays exactly the serial [`Dispatcher::insert_traced`]
     /// sequence — the Conditional preemption decision, ER window
@@ -312,15 +313,28 @@ impl Dispatcher {
     /// pinned by the `bulk_insert_*` tests and the oracle `diff_batch`
     /// gate). Only the heap pushes are deferred: each queue's entries are
     /// collected and merged with one O(n) heapify-append instead of n
-    /// sift-ups, which is what makes draining a whole ingest ring cheaper
-    /// than the serial enqueue loop. A bounded queue (`max_queue`) makes
-    /// the shed decision depend on the live length at every arrival, so
-    /// that configuration keeps the serial loop.
+    /// sift-ups, which is what makes inserting a whole chunk cheaper than
+    /// the serial enqueue loop. A bounded queue (`max_queue`) makes the
+    /// shed decision depend on the live length at every arrival, so that
+    /// configuration keeps the serial loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` and `chunk` differ in length.
     pub fn insert_bulk_traced<S: TraceSink>(
         &mut self,
-        items: impl Iterator<Item = (Request, u128)>,
+        chunk: &[Request],
+        values: &[u128],
         sink: &mut S,
     ) {
+        assert_eq!(
+            chunk.len(),
+            values.len(),
+            "insert_bulk_traced: {} requests but {} characterization values",
+            chunk.len(),
+            values.len()
+        );
+        let items = chunk.iter().zip(values).map(|(r, &v)| (r.clone(), v));
         if self.config.max_queue.is_some() {
             for (req, v) in items {
                 let now = req.arrival_us;
@@ -328,8 +342,7 @@ impl Dispatcher {
             }
             return;
         }
-        let (lo, hi) = items.size_hint();
-        let n = hi.unwrap_or(lo);
+        let n = chunk.len();
         // Grow the slot arena once for every entry the free list cannot
         // absorb: per-push geometric growth re-copies the arena log(n)
         // times, a cost the serial path cannot avoid but a sized bulk

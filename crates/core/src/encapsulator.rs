@@ -237,11 +237,20 @@ impl Encapsulator {
         &self.scratch
     }
 
-    /// [`Self::map_batch`] into a caller-owned buffer, through `&self` —
-    /// the form concurrent producers share one encapsulator with (see
-    /// `sim::ingest_concurrent`). Values are *appended* to `out`, so a
-    /// producer can characterize straight into a hand-off buffer that
-    /// already holds earlier batches (`IngestRing::push_with`).
+    /// [`Self::map_batch`] appended to a caller-owned buffer, through
+    /// `&self`: a thin wrapper that grows `out` by `batch.len()` values
+    /// and fills them with [`Self::map_batch_fill`].
+    pub fn map_batch_into(&self, batch: &[Request], head: &HeadState, out: &mut Vec<u128>) {
+        let start = out.len();
+        out.resize(start + batch.len(), 0);
+        self.map_batch_fill(batch, head, &mut out[start..]);
+    }
+
+    /// [`Self::map_batch`] into a caller-owned slice, through `&self` —
+    /// the form concurrent producers share one encapsulator with: each
+    /// producer characterizes its slice of an arrival chunk straight into
+    /// its own disjoint slice of one value buffer (see
+    /// `sim::ingest_concurrent`).
     ///
     /// The whole cascade runs eight requests at a time: stage-1 points are
     /// transposed into lane arrays and mapped through
@@ -250,16 +259,27 @@ impl Encapsulator {
     /// tail takes the scalar path. Bit-identity with the scalar
     /// [`Self::characterize`] is pinned by the `map_batch_*` tests and the
     /// oracle `diff_batch` gate.
-    pub fn map_batch_into(&self, batch: &[Request], head: &HeadState, out: &mut Vec<u128>) {
-        out.reserve(batch.len());
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` does not hold exactly one slot per request.
+    pub fn map_batch_fill(&self, batch: &[Request], head: &HeadState, out: &mut [u128]) {
+        assert_eq!(
+            batch.len(),
+            out.len(),
+            "map_batch_fill: {} requests but {} value slots",
+            batch.len(),
+            out.len()
+        );
         let mut chunks = batch.chunks_exact(LANES);
-        for chunk in &mut chunks {
+        let mut slots = out.chunks_exact_mut(LANES);
+        for (chunk, slot) in (&mut chunks).zip(&mut slots) {
             let reqs: &[Request; LANES] = chunk.try_into().expect("exact chunk");
-            out.extend_from_slice(&self.characterize8(reqs, head));
+            slot.copy_from_slice(&self.characterize8(reqs, head));
         }
-        for req in chunks.remainder() {
+        for (req, slot) in chunks.remainder().iter().zip(slots.into_remainder()) {
             let at_arrival = HeadState::new(head.cylinder, req.arrival_us, head.cylinders);
-            out.push(self.characterize(req, &at_arrival));
+            *slot = self.characterize(req, &at_arrival);
         }
     }
 
@@ -771,10 +791,13 @@ mod tests {
                     let at = HeadState::new(h.cylinder, req.arrival_us, h.cylinders);
                     assert_eq!(v, e.characterize(req, &at), "config {ci} req {}", req.id);
                 }
-                // The shared-reference form agrees with the &mut form.
+                // The shared-reference forms agree with the &mut form.
                 let mut out = Vec::new();
                 e.map_batch_into(&batch, &h, &mut out);
                 assert_eq!(out, vs);
+                let mut filled = vec![0u128; n];
+                e.map_batch_fill(&batch, &h, &mut filled);
+                assert_eq!(filled, vs);
             }
         }
     }

@@ -207,47 +207,20 @@ impl<S: TraceSink> CascadedSfc<S> {
         self.dispatcher.insert_traced(req, v, now, &mut self.sink);
     }
 
-    /// Drain a multi-producer [`IngestRing`](crate::IngestRing) into the
-    /// dispatcher in its deterministic (producer-index, sequence) order.
-    /// When producers pushed contiguous slices of one arrival chunk, this
-    /// is bit-identical to [`DiskScheduler::enqueue_batch`] on the whole
-    /// chunk (pinned by `sim`'s concurrent-ingest tests and the oracle
-    /// `diff_batch` gate).
-    pub fn drain_ring(&mut self, ring: &mut crate::IngestRing) {
-        self.dispatcher
-            .insert_bulk_traced(ring.drain_items(), &mut self.sink);
-    }
-
-    /// Drain a value-only ingest ring against the arrival chunk its
-    /// producers characterized. Producer `p` must have pushed the
-    /// characterization values for the `p`-th contiguous slice of
-    /// `chunk`, in slice order; the (producer-index, sequence) drain then
-    /// reassembles exactly one value per request in chunk order, and the
-    /// requests are cloned straight from `chunk` — the ring never carries
-    /// them. Bit-identical to [`DiskScheduler::enqueue_batch`] on `chunk`
+    /// Insert an arrival chunk whose characterization values were
+    /// computed elsewhere — `values[i]` for `chunk[i]`, typically filled
+    /// by producer threads through [`Encapsulator::map_batch_fill`]. Each
+    /// request is anchored at its own arrival time, so this is
+    /// bit-identical to [`DiskScheduler::enqueue_batch`] on `chunk`
     /// (pinned by `sim`'s concurrent-ingest tests and the oracle
     /// `diff_batch` gate).
     ///
     /// # Panics
     ///
-    /// Panics if the ring holds a different number of values than
-    /// `chunk` has requests.
-    pub fn drain_value_ring(&mut self, chunk: &[Request], ring: &mut crate::IngestRing<u128>) {
-        assert_eq!(
-            chunk.len(),
-            ring.len(),
-            "drain_value_ring: {} requests but {} characterization values",
-            chunk.len(),
-            ring.len()
-        );
-        let lanes = ring.drain_lanes();
-        self.dispatcher.insert_bulk_traced(
-            chunk
-                .iter()
-                .zip(lanes.into_iter().flatten())
-                .map(|(r, v)| (r.clone(), v)),
-            &mut self.sink,
-        );
+    /// Panics if `values` and `chunk` differ in length.
+    pub fn insert_characterized_chunk(&mut self, chunk: &[Request], values: &[u128]) {
+        self.dispatcher
+            .insert_bulk_traced(chunk, values, &mut self.sink);
     }
 
     /// The attached trace sink.
@@ -303,10 +276,8 @@ impl<S: TraceSink> DiskScheduler for CascadedSfc<S> {
             });
         }
         let clock = Self::span_clock(self.spans.as_mut().map(|s| &mut s.encapsulate));
-        self.dispatcher.insert_bulk_traced(
-            batch.iter().zip(vs).map(|(r, &v)| (r.clone(), v)),
-            &mut self.sink,
-        );
+        self.dispatcher
+            .insert_bulk_traced(batch, vs, &mut self.sink);
         if let Some(t0) = clock {
             self.sink.emit(&TraceEvent::StageSpan {
                 now_us: head.now_us,

@@ -169,6 +169,10 @@ proptest! {
         let head = HeadState::new(head_cyl, batch[0].arrival_us, 3832);
         let vs = batched.map_batch(&batch, &head).to_vec();
         prop_assert_eq!(vs.len(), batch.len());
+        // The slice-writing form concurrent producers use agrees.
+        let mut filled = vec![0u128; batch.len()];
+        batched.map_batch_fill(&batch, &head, &mut filled);
+        prop_assert_eq!(&filled, &vs);
         for (r, v) in batch.iter().zip(vs) {
             let h = HeadState::new(head_cyl, r.arrival_us, 3832);
             prop_assert_eq!(v, scalar.characterize(r, &h),

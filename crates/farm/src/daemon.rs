@@ -55,6 +55,9 @@ use sim::{jittered_backoff_us, DiskService, EngineStepper, Metrics, ServiceProvi
 
 use crate::{FarmConfig, OnlineRouter, RoutePolicy};
 
+/// Flight-recorder ring capacity per member (events).
+const RECORDER_CAPACITY: usize = 1 << 12;
+
 /// Builds a shard's scheduler. The [`SharedSink`] handle is a clone of
 /// the member's flight-recorder sink: pass it to sink-carrying
 /// constructors (cascade's `CascadedSfc::with_sink`) so bounded-queue
@@ -214,8 +217,6 @@ pub struct DaemonConfig {
     pub max_streams: u32,
     /// A stream's slot is reclaimed after this much idle time (µs).
     pub stream_idle_timeout_us: u64,
-    /// Flight-recorder ring capacity per member (events).
-    pub recorder_capacity: usize,
     /// Windowed-telemetry shape per member recorder.
     pub telemetry: TelemetryConfig,
     /// Anomaly trigger thresholds per member recorder.
@@ -225,15 +226,14 @@ pub struct DaemonConfig {
 }
 
 impl DaemonConfig {
-    /// Defaults: open admission gate, 4096-event rings, exact telemetry,
-    /// paper-default triggers, 2 s base cooldown.
+    /// Defaults: open admission gate, exact telemetry, paper-default
+    /// triggers, 2 s base cooldown.
     pub fn new(farm: FarmConfig, options: SimOptions) -> Self {
         DaemonConfig {
             farm,
             options,
             max_streams: u32::MAX,
             stream_idle_timeout_us: u64::MAX,
-            recorder_capacity: 1 << 12,
             telemetry: TelemetryConfig::exact(),
             triggers: TriggerConfig::default(),
             supervisor: SupervisorConfig::default(),
@@ -258,12 +258,6 @@ impl DaemonConfig {
     /// Set the supervisor cooldown policy.
     pub fn with_supervisor(mut self, supervisor: SupervisorConfig) -> Self {
         self.supervisor = supervisor;
-        self
-    }
-
-    /// Set the per-member flight-recorder ring capacity.
-    pub fn with_recorder_capacity(mut self, capacity: usize) -> Self {
-        self.recorder_capacity = capacity;
         self
     }
 }
@@ -363,7 +357,7 @@ impl FarmDaemon {
         cfg: &DaemonConfig,
     ) -> Member {
         let recorder = SharedSink::new(FlightRecorder::new(
-            cfg.recorder_capacity,
+            RECORDER_CAPACITY,
             cfg.telemetry,
             cfg.triggers,
         ));
@@ -829,11 +823,6 @@ impl DaemonReport {
             ));
         }
         Ok(())
-    }
-
-    /// `true` when [`DaemonReport::ledger`] closes.
-    pub fn ledger_closed(&self) -> bool {
-        self.ledger().is_ok()
     }
 
     /// Event-vs-counter reconciliation across every member's telemetry:

@@ -183,9 +183,10 @@ pub fn route_trace<S: TraceSink>(
 /// its Cascaded-SFC scheduler through the multi-producer ingest path:
 /// per shard, `cfg.parallelism` router threads characterize contiguous
 /// slices of the routed sub-trace in parallel (the lane-batched
-/// encapsulator pass) and hand off through the sharded
-/// [`cascade::IngestRing`], which [`sim::ingest_concurrent`] proves
-/// bit-identical to a serial `enqueue_batch` of the same backlog.
+/// encapsulator pass), each into its own disjoint slice of one value
+/// buffer, and the backlog is inserted in one bulk pass —
+/// [`sim::ingest_concurrent`], bit-identical to a serial
+/// `enqueue_batch` of the same backlog.
 ///
 /// `heads[i]` anchors shard `i`'s head position; each shard's chunk is
 /// time-anchored at its first routed arrival, matching the engine's

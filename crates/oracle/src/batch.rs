@@ -12,8 +12,8 @@
 //!   bulk heapify-append insert) against the trait-default per-request
 //!   enqueue loop, under every dispatcher regime,
 //! * **concurrent ingest** — [`sim::ingest_concurrent`] with 4 producer
-//!   threads through the sharded [`cascade::IngestRing`], against the
-//!   same serial reference.
+//!   threads, each characterizing into its disjoint slice of one value
+//!   buffer, against the same serial reference.
 //!
 //! Agreement is judged on the full observable surface: queue depths,
 //! dequeue order, dispatch counters, and shed ledgers. This is the

@@ -10,7 +10,7 @@
 //! fixed, the parallel path is bit-identical to the serial one — callers
 //! pick [`Parallelism`] purely on wall-clock grounds.
 
-use cascade::{CascadedSfc, IngestRing};
+use cascade::CascadedSfc;
 use obs::TraceSink;
 use sched::{HeadState, Request};
 use std::num::NonZeroUsize;
@@ -97,25 +97,25 @@ where
 /// multiple producer threads, bit-identical to a serial
 /// [`sched::DiskScheduler::enqueue_batch`] of the same chunk.
 ///
-/// The chunk is split into `producers` contiguous slices. Each producer
-/// thread characterizes its slice through the shared encapsulator
-/// ([`cascade::Encapsulator::map_batch_into`], the lane-parallel batch
-/// pass) and pushes the resulting characterization values onto its own
-/// lane of a value-only [`IngestRing`] — the requests themselves stay in
-/// the borrowed chunk, so the hot hand-off moves 16 bytes per request.
-/// The ring is then drained serially into the dispatcher in
-/// (producer-index, sequence) order against the original chunk
-/// ([`cascade::CascadedSfc::drain_value_ring`]). Contiguous slices in
-/// producer order concatenate back to the original chunk, so the drained
-/// insertion sequence — each request anchored at its own arrival time —
-/// is exactly the serial one, regardless of thread interleaving. This is
+/// The chunk is split into contiguous slices of at most
+/// `ceil(len / producers)` requests, and one value buffer of the chunk's
+/// length into the matching disjoint `chunks_mut` slices. Each producer
+/// characterizes its request slice through the shared encapsulator
+/// straight into its value slice
+/// ([`cascade::Encapsulator::map_batch_fill`], the lane-parallel batch
+/// pass). Once the producers join, the whole chunk is inserted in one
+/// bulk pass with `values[i]` for `chunk[i]`
+/// ([`cascade::CascadedSfc::insert_characterized_chunk`]), each request
+/// anchored at its own arrival time. Chunk order holds by construction —
+/// no lock, sequence stamp or drain step — so the insertion sequence is
+/// exactly the serial one regardless of thread interleaving. This is
 /// what lets a farm shard accept arrivals from several router threads
 /// without forking its dispatch order from the single-threaded
 /// reference.
 ///
 /// `parallelism` bounds the producer count ([`Parallelism::Serial`] or a
-/// sub-lane-width chunk short-circuits to the plain batched enqueue).
-/// Returns the number of producer threads used.
+/// chunk of fewer than two requests short-circuits to the plain batched
+/// enqueue). Returns the number of producer threads used (one per slice).
 pub fn ingest_concurrent<S: TraceSink>(
     scheduler: &mut CascadedSfc<S>,
     chunk: &[Request],
@@ -128,40 +128,27 @@ pub fn ingest_concurrent<S: TraceSink>(
         scheduler.enqueue_batch(chunk, head);
         return 1;
     }
-    let ring = IngestRing::<u128>::new(producers);
+    let per = chunk.len().div_ceil(producers);
+    let mut values = vec![0u128; chunk.len()];
     let enc = scheduler.encapsulator();
-    let base = chunk.len() / producers;
-    let extra = chunk.len() % producers;
     std::thread::scope(|scope| {
-        let mut start = 0usize;
-        let mut own = None;
-        for p in 0..producers {
-            let len = base + usize::from(p < extra);
-            let slice = &chunk[start..start + len];
-            start += len;
-            // The calling thread is producer 0: it would otherwise idle
-            // in the scope join while the others characterize.
-            if p == 0 {
-                own = Some(slice);
-                continue;
-            }
-            let ring = &ring;
+        let mut slices = chunk.chunks(per).zip(values.chunks_mut(per));
+        // The calling thread is producer 0: it would otherwise idle in
+        // the scope join while the others characterize.
+        let (own, own_out) = slices.next().expect("non-empty chunk");
+        for (slice, out) in slices {
             // Producer threads run a shallow, iterative batch pass; the
             // default 8 MiB stacks would dominate the spawn cost (page
             // table setup) for chunk-sized work, so keep them small.
             std::thread::Builder::new()
                 .stack_size(64 * 1024)
-                .spawn_scoped(scope, move || {
-                    ring.push_with(p, |vs| enc.map_batch_into(slice, head, vs));
-                })
+                .spawn_scoped(scope, move || enc.map_batch_fill(slice, head, out))
                 .expect("spawn ingest producer");
         }
-        let slice = own.expect("at least one producer slice");
-        ring.push_with(0, |vs| enc.map_batch_into(slice, head, vs));
+        enc.map_batch_fill(own, head, own_out);
     });
-    let mut ring = ring;
-    scheduler.drain_value_ring(chunk, &mut ring);
-    producers
+    scheduler.insert_characterized_chunk(chunk, &values);
+    chunk.len().div_ceil(per)
 }
 
 #[cfg(test)]

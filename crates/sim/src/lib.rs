@@ -53,7 +53,7 @@ pub use service::{
 pub use step::EngineStepper;
 pub use striped::{
     simulate_striped, simulate_striped_faulted, simulate_striped_observed,
-    simulate_striped_observed_on, simulate_striped_on, StripedOutcome,
+    simulate_striped_observed_on, StripedOutcome,
 };
 
 pub use sched::Micros;

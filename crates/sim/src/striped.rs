@@ -71,18 +71,6 @@ pub fn simulate_striped(
     make_scheduler: impl Fn() -> Box<dyn DiskScheduler> + Sync,
     options: SimOptions,
 ) -> StripedOutcome {
-    simulate_striped_on(trace, members, make_scheduler, options, Parallelism::auto())
-}
-
-/// [`simulate_striped`] with an explicit executor choice. The outcome is
-/// identical for every [`Parallelism`] value; only wall-clock differs.
-pub fn simulate_striped_on(
-    trace: &[Request],
-    members: usize,
-    make_scheduler: impl Fn() -> Box<dyn DiskScheduler> + Sync,
-    options: SimOptions,
-    parallelism: Parallelism,
-) -> StripedOutcome {
     run_striped(
         trace,
         members,
@@ -90,7 +78,7 @@ pub fn simulate_striped_on(
         options,
         |_| DiskService::table1(),
         || NullSink,
-        parallelism,
+        Parallelism::auto(),
     )
     .0
 }

@@ -1,11 +1,12 @@
 //! Concurrency determinism gates for the multi-producer ingest path.
 //!
-//! `ingest_concurrent` fans characterization out over N producer threads
-//! and funnels the results through the sharded `IngestRing`; these tests
-//! pin the whole path to the serial reference **bit for bit** — dequeue
-//! order, dispatcher counters, shed ledgers — across producer counts,
-//! seeds, and dispatcher regimes. Run in release mode by ci.sh as the
-//! concurrency stress gate.
+//! `ingest_concurrent` fans characterization out over N producer threads,
+//! each writing its disjoint slice of one value buffer, and inserts the
+//! whole chunk once they join; these tests pin the whole path to the
+//! serial reference **bit for bit** — dequeue order, dispatcher counters,
+//! shed ledgers — across producer counts, seeds, and dispatcher regimes.
+//! Run in release mode by ci.sh, which checks bit-identity under
+//! optimized codegen.
 
 use cascade::{CascadeConfig, CascadedSfc, DispatchConfig};
 use sched::{DiskScheduler, HeadState, Request};
@@ -152,7 +153,9 @@ fn bounded_queue_sheds_identically_under_contention() {
 }
 
 /// Degenerate shapes: serial parallelism, single-element chunks, and an
-/// empty chunk all take the short-circuit path and stay identical.
+/// empty chunk all take the short-circuit path and stay identical; a
+/// chunk shorter than the producer count fans out one request per
+/// producer and stays identical too.
 #[test]
 fn degenerate_chunks_short_circuit() {
     let cfg = CascadeConfig::paper_default(1, 3832);
@@ -174,5 +177,14 @@ fn degenerate_chunks_short_circuit() {
         ingest_concurrent(&mut b, &empty, &head, Parallelism::Serial),
         1
     );
+    assert_eq!(drain_ids(&mut a, &head), drain_ids(&mut b, &head));
+
+    // A chunk shorter than the producer count: one request per producer.
+    a.enqueue_batch(&trace[..5], &head);
+    assert_eq!(
+        ingest_concurrent(&mut b, &trace[..5], &head, Parallelism::threads(8)),
+        5
+    );
+    assert_eq!(a.dispatch_counters(), b.dispatch_counters());
     assert_eq!(drain_ids(&mut a, &head), drain_ids(&mut b, &head));
 }
