@@ -83,23 +83,26 @@ cargo run -q -p oracle --release --bin oracle -- --mode perf-parity --corpus tes
 echo "==> oracle diff-batch gate"
 # The vectorized fast paths diffed against their scalar references on
 # every committed corpus trace: batched characterization elementwise
-# against per-point, and batched/4-producer-concurrent enqueue against
-# the serial loop under all four dispatcher regimes (exits 1 on any
-# divergence).
+# against per-point, and batched enqueue against the serial loop under
+# all four dispatcher regimes (exits 1 on any divergence).
 cargo run -q -p oracle --release --bin oracle -- --mode diff-batch --corpus tests/corpus
 
-echo "==> concurrency stress gate"
-# The multi-producer ingest determinism suite in release mode. Chunk
-# order holds by construction (each producer fills its own disjoint
-# slice of one value buffer); this step checks bit-identity against the
-# serial reference under optimized codegen.
-cargo test --release -q -p sim --test concurrent_ingest
+echo "==> figure drift gate"
+# Regenerate every figure CSV and diff it against the committed
+# results/: the CSVs are deterministic, so any byte of drift means a
+# change moved a figure without refreshing results/ (exits 1 on drift).
+# tests/figure_claims.rs checks the shapes EXPERIMENTS.md claims on the
+# committed CSVs.
+figdir="$(mktemp -d)"
+trap 'rm -rf "$figdir"' EXIT
+cargo run -q -p bench --release --bin experiments -- --out "$figdir"
+diff -r "$figdir" results
 
 echo "==> perf regression gate"
 # Fresh measurement against the committed BENCH_sched.json; exits 1
 # when any gauge (dispatch, engine, routing, daemon, controller,
-# closed-loop scenario session rate, batched characterization, 4-producer
-# concurrent ingest, SFC mapping latency) regresses past 20%.
+# closed-loop scenario session rate, batched characterization, SFC mapping
+# latency) regresses past 20%.
 cargo run -q -p bench --release --bin perf -- --mode check --baseline BENCH_sched.json --tolerance 0.2
 
 echo "==> telemetry smoke gate"

@@ -6,8 +6,7 @@
 //! ```
 //!
 //! * `measure` (default) prints a fresh `BENCH_sched.json` to stdout,
-//!   plus the batch-vs-scalar characterization and concurrent-vs-serial
-//!   ingest speedup ratios on stderr.
+//!   plus the batch-vs-scalar characterization speedup ratio on stderr.
 //! * `baseline` measures and writes it to `--baseline` (the file CI
 //!   compares against — commit it after deliberate perf changes).
 //! * `check` measures, loads `--baseline`, and exits 1 when any metric

@@ -1,8 +1,8 @@
-//! Perf-regression gate: nine microbenchmark workloads measured
+//! Perf-regression gate: eight microbenchmark workloads measured
 //! best-of-N, reported as `BENCH_sched.json`, and checked against the
 //! committed baseline in CI.
 //!
-//! The nine numbers cover the stack's hot paths:
+//! The eight numbers cover the stack's hot paths:
 //!
 //! * **dispatch throughput** — enqueue/dequeue interleave through the
 //!   optimized [`CascadedSfc`] on the Figure-8 Poisson workload
@@ -27,10 +27,6 @@
 //!   [`sfc::CurveKernel::index_batch`] pass over the order-21 3-D
 //!   Hilbert grid, the lane-stepped `u64` automaton fast path
 //!   (points/s; higher is better),
-//! * **concurrent ingest throughput** — [`sim::ingest_concurrent`]
-//!   feeding the dispatcher through 4 producer threads, each filling its
-//!   disjoint slice of one value buffer, then one bulk heapify-append
-//!   insert (requests/s; higher is better),
 //! * **SFC mapping latency** — `Hilbert(3 dims, 2^7 side)` index
 //!   mapping (ns/op; lower is better).
 //!
@@ -46,12 +42,12 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use cascade::{CascadeConfig, CascadedSfc, Stage1, Stage2Combiner};
+use cascade::{CascadeConfig, CascadedSfc};
 use farm::{route_trace, DaemonConfig, DaemonEvent, FarmConfig, FarmDaemon, RoutePolicy};
 use obs::{NullSink, TelemetryConfig, TraceSink};
 use sched::{DiskScheduler, Fcfs, HeadState, Request};
 use sfc::{CurveKernel, CurveKind, Hilbert, SpaceFillingCurve};
-use sim::{ingest_concurrent, simulate, simulate_traced, DiskService, Parallelism, SimOptions};
+use sim::{simulate, simulate_traced, DiskService, SimOptions};
 use workload::{PoissonConfig, VodConfig};
 
 /// The measured (or baseline) perf numbers. A `NaN` field in a parsed
@@ -73,8 +69,6 @@ pub struct PerfReport {
     pub scenario_sessions_per_s: f64,
     /// Lane-parallel batched characterization throughput (points/s).
     pub characterize_batch_pts_per_s: f64,
-    /// Multi-producer dispatcher ingest throughput (requests/s).
-    pub mpsc_enqueue_ops_per_s: f64,
     /// Hilbert index mapping latency in nanoseconds per op.
     pub sfc_ns_per_op: f64,
 }
@@ -95,7 +89,6 @@ impl PerfReport {
              \"ctrl_decisions_per_s\": {:.1},\n  \
              \"scenario_sessions_per_s\": {:.1},\n  \
              \"characterize_batch_pts_per_s\": {:.1},\n  \
-             \"mpsc_enqueue_ops_per_s\": {:.1},\n  \
              \"sfc_ns_per_op\": {:.3}\n}}\n",
             self.dispatch_ops_per_s,
             self.engine_reqs_per_s,
@@ -104,7 +97,6 @@ impl PerfReport {
             self.ctrl_decisions_per_s,
             self.scenario_sessions_per_s,
             self.characterize_batch_pts_per_s,
-            self.mpsc_enqueue_ops_per_s,
             self.sfc_ns_per_op
         )
     }
@@ -136,7 +128,6 @@ impl PerfReport {
             ctrl_decisions_per_s: field("ctrl_decisions_per_s"),
             scenario_sessions_per_s: field("scenario_sessions_per_s"),
             characterize_batch_pts_per_s: field("characterize_batch_pts_per_s"),
-            mpsc_enqueue_ops_per_s: field("mpsc_enqueue_ops_per_s"),
             sfc_ns_per_op: field("sfc_ns_per_op"),
         };
         Ok((report, warnings))
@@ -316,26 +307,6 @@ fn bench_scenario(seed: u64) -> f64 {
     started as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
-/// The characterization-heavy cascade shape used by the ingest
-/// benchmark: a 3-D Hilbert stage 1 at `2^21` levels per dimension (far
-/// past the small-LUT cutoff, so the lane-stepped `u64` automaton
-/// carries stage 1 — the same order-21 grid the characterization
-/// benchmark measures), a 2-D Hilbert catalogue curve over the
-/// (priority, deadline) grid for stage 2, and the paper-default seek
-/// stage behind them.
-fn characterize_config() -> CascadeConfig {
-    let mut cfg = CascadeConfig::paper_default(3, 3832);
-    cfg.stage1 = Some(Stage1 {
-        curve: CurveKind::Hilbert,
-        dims: 3,
-        level_bits: 21,
-    });
-    if let Some(s2) = &mut cfg.stage2 {
-        s2.combiner = Stage2Combiner::Curve(CurveKind::Hilbert);
-    }
-    cfg
-}
-
 /// Batched 3-D Hilbert characterization throughput:
 /// [`CurveKernel::index_batch`] over a pre-generated point set on the
 /// order-21 grid (the `u64` lane-automaton fast path, the finest 3-D
@@ -383,82 +354,25 @@ fn bench_characterize(seed: u64) -> (f64, f64) {
     (batch, scalar)
 }
 
-/// Concurrent ingest throughput: one arrival chunk pushed into the
-/// dispatcher through [`ingest_concurrent`] — 4 producer threads
-/// batch-characterizing their slices into disjoint slices of one value
-/// buffer, then one bulk heapify-append insert — vs the serial
-/// [`DiskScheduler::enqueue_batch`] of the same chunk on an identical
-/// scheduler, so the ratio isolates the gain from threads (both sides
-/// batch). Returns `(concurrent, serial)` in requests/s.
-fn bench_mpsc(seed: u64) -> (f64, f64) {
-    let trace = PoissonConfig::figure8(32_768).generate(seed);
-    let cfg = characterize_config();
-    let head = HeadState::new(1700, trace[0].arrival_us, 3832);
-
-    // Warm the thread-spawn and allocator paths outside the timed region.
-    {
-        let mut s = CascadedSfc::new(cfg.clone()).expect("valid config");
-        ingest_concurrent(&mut s, &trace[..4_096], &head, Parallelism::threads(4));
-        while let Some(r) = s.dequeue(&head) {
-            black_box(r.id);
-        }
-    }
-
-    // Producer threads are at the scheduler's mercy on a loaded box, so a
-    // single shot of either side is noisy; alternate the two sides and
-    // keep the best of each.
-    let (mut concurrent, mut serial) = (0.0f64, 0.0f64);
-    for _ in 0..8 {
-        let mut s = CascadedSfc::new(cfg.clone()).expect("valid config");
-        let start = Instant::now();
-        ingest_concurrent(&mut s, &trace, &head, Parallelism::threads(4));
-        concurrent = concurrent.max(trace.len() as f64 / start.elapsed().as_secs_f64().max(1e-9));
-        while let Some(r) = s.dequeue(&head) {
-            black_box(r.id);
-        }
-
-        let mut s = CascadedSfc::new(cfg.clone()).expect("valid config");
-        let start = Instant::now();
-        s.enqueue_batch(&trace, &head);
-        serial = serial.max(trace.len() as f64 / start.elapsed().as_secs_f64().max(1e-9));
-        while let Some(r) = s.dequeue(&head) {
-            black_box(r.id);
-        }
-    }
-    (concurrent, serial)
-}
-
-/// Measure the batch-vs-scalar characterization and concurrent-vs-serial
-/// ingest speedups, best of `samples` interleaved pairs, and return the
-/// comparison lines the perf binary prints next to the JSON. Both sides
-/// of each pair run in the same process on the identical trace, so the
-/// ratios are self-relative and machine-independent.
+/// Measure the batch-vs-scalar characterization speedup, best of
+/// `samples` interleaved pairs, and return the comparison line the perf
+/// binary prints next to the JSON. Both sides of the pair run in the
+/// same process on the identical points, so the ratio is self-relative
+/// and machine-independent.
 pub fn measure_speedups(seed: u64, samples: u32) -> Vec<String> {
     let samples = samples.max(1);
     let mut ch = (0.0f64, 0.0f64);
-    let mut mp = (0.0f64, 0.0f64);
     for _ in 0..samples {
         let (batch, scalar) = bench_characterize(seed);
         ch.0 = ch.0.max(batch);
         ch.1 = ch.1.max(scalar);
-        let (concurrent, serial) = bench_mpsc(seed);
-        mp.0 = mp.0.max(concurrent);
-        mp.1 = mp.1.max(serial);
     }
-    vec![
-        format!(
-            "characterize: batch {:.0} pts/s vs scalar {:.0} pts/s (x{:.2})",
-            ch.0,
-            ch.1,
-            ch.0 / ch.1.max(1e-9)
-        ),
-        format!(
-            "ingest: 4-producer {:.0} req/s vs serial enqueue_batch {:.0} req/s (x{:.2})",
-            mp.0,
-            mp.1,
-            mp.0 / mp.1.max(1e-9)
-        ),
-    ]
+    vec![format!(
+        "characterize: batch {:.0} pts/s vs scalar {:.0} pts/s (x{:.2})",
+        ch.0,
+        ch.1,
+        ch.0 / ch.1.max(1e-9)
+    )]
 }
 
 /// SFC mapping latency: Hilbert index over 3 dims with side 128, on
@@ -508,7 +422,6 @@ pub fn measure(seed: u64, samples: u32) -> PerfReport {
         ctrl_decisions_per_s: best(&|| bench_ctrl(seed), true),
         scenario_sessions_per_s: best(&|| bench_scenario(seed), true),
         characterize_batch_pts_per_s: best(&|| bench_characterize(seed).0, true),
-        mpsc_enqueue_ops_per_s: best(&|| bench_mpsc(seed).0, true),
         sfc_ns_per_op: best(&|| bench_sfc(seed), false),
     }
 }
@@ -744,12 +657,6 @@ pub fn check(
         true,
     );
     gauge(
-        "mpsc_enqueue_ops_per_s",
-        current.mpsc_enqueue_ops_per_s,
-        baseline.mpsc_enqueue_ops_per_s,
-        true,
-    );
-    gauge(
         "sfc_ns_per_op",
         current.sfc_ns_per_op,
         baseline.sfc_ns_per_op,
@@ -776,7 +683,6 @@ mod tests {
             ctrl_decisions_per_s: 24_680.2,
             scenario_sessions_per_s: 13_579.5,
             characterize_batch_pts_per_s: 8_642_097.3,
-            mpsc_enqueue_ops_per_s: 3_210_987.6,
             sfc_ns_per_op: 41.125,
         };
         let (back, warnings) = PerfReport::from_json(&report.to_json()).expect("roundtrip");
@@ -790,7 +696,6 @@ mod tests {
         assert!(
             (back.characterize_batch_pts_per_s - report.characterize_batch_pts_per_s).abs() < 0.1
         );
-        assert!((back.mpsc_enqueue_ops_per_s - report.mpsc_enqueue_ops_per_s).abs() < 0.1);
         assert!((back.sfc_ns_per_op - report.sfc_ns_per_op).abs() < 0.001);
     }
 
@@ -813,7 +718,6 @@ mod tests {
              \"ctrl_decisions_per_s\": 38.0,\n  \
              \"scenario_sessions_per_s\": 39.0,\n  \
              \"characterize_batch_pts_per_s\": 39.5,\n  \
-             \"mpsc_enqueue_ops_per_s\": 39.8,\n  \
              \"sfc_ns_per_op\": 40.0,\n  \
              \"future_metric_per_s\": 50.0\n}}\n"
         );
@@ -830,7 +734,6 @@ mod tests {
              \"ctrl_decisions_per_s\": 1000.0,\n  \
              \"scenario_sessions_per_s\": 1000.0,\n  \
              \"characterize_batch_pts_per_s\": 1000.0,\n  \
-             \"mpsc_enqueue_ops_per_s\": 1000.0,\n  \
              \"sfc_ns_per_op\": 100.0\n}}\n"
         );
         let (base, warnings) = PerfReport::from_json(&older).expect("missing key is a warning");
@@ -845,7 +748,6 @@ mod tests {
             ctrl_decisions_per_s: 1000.0,
             scenario_sessions_per_s: 1000.0,
             characterize_batch_pts_per_s: 1000.0,
-            mpsc_enqueue_ops_per_s: 1000.0,
             sfc_ns_per_op: 100.0,
         };
         let lines = check(&current, &base, 0.2).expect("NaN baseline is skipped");
@@ -862,7 +764,6 @@ mod tests {
             ctrl_decisions_per_s: 1000.0,
             scenario_sessions_per_s: 1000.0,
             characterize_batch_pts_per_s: 1000.0,
-            mpsc_enqueue_ops_per_s: 1000.0,
             sfc_ns_per_op: 100.0,
         };
         // Improvements and in-tolerance dips pass.
@@ -874,7 +775,6 @@ mod tests {
             ctrl_decisions_per_s: 1100.0,
             scenario_sessions_per_s: 950.0,
             characterize_batch_pts_per_s: 1200.0,
-            mpsc_enqueue_ops_per_s: 980.0,
             sfc_ns_per_op: 115.0,
         };
         assert!(check(&fine, &base, 0.2).is_ok());
@@ -885,7 +785,7 @@ mod tests {
             ..fine
         };
         let lines = check(&slow, &base, 0.2).unwrap_err();
-        assert_eq!(lines.len(), 9);
+        assert_eq!(lines.len(), 8);
         assert_eq!(lines.iter().filter(|l| l.contains("REGRESSED")).count(), 1);
         let bad = lines.iter().find(|l| l.contains("REGRESSED")).unwrap();
         assert!(bad.contains("dispatch_ops_per_s"));
@@ -949,16 +849,14 @@ mod tests {
         assert!(report.ctrl_decisions_per_s > 0.0);
         assert!(report.scenario_sessions_per_s > 0.0);
         assert!(report.characterize_batch_pts_per_s > 0.0);
-        assert!(report.mpsc_enqueue_ops_per_s > 0.0);
         assert!(report.sfc_ns_per_op > 0.0);
     }
 
     #[test]
     fn speedup_lines_carry_both_sides_of_each_pair() {
         let lines = measure_speedups(crate::DEFAULT_SEED, 1);
-        assert_eq!(lines.len(), 2);
+        assert_eq!(lines.len(), 1);
         assert!(lines[0].contains("batch") && lines[0].contains("scalar"));
-        assert!(lines[1].contains("4-producer") && lines[1].contains("serial"));
-        assert!(lines.iter().all(|l| l.contains("(x")));
+        assert!(lines[0].contains("(x"));
     }
 }

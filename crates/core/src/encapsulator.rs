@@ -246,11 +246,7 @@ impl Encapsulator {
         self.map_batch_fill(batch, head, &mut out[start..]);
     }
 
-    /// [`Self::map_batch`] into a caller-owned slice, through `&self` —
-    /// the form concurrent producers share one encapsulator with: each
-    /// producer characterizes its slice of an arrival chunk straight into
-    /// its own disjoint slice of one value buffer (see
-    /// `sim::ingest_concurrent`).
+    /// [`Self::map_batch`] into a caller-owned slice, through `&self`.
     ///
     /// The whole cascade runs eight requests at a time: stage-1 points are
     /// transposed into lane arrays and mapped through

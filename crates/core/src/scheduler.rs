@@ -197,30 +197,13 @@ impl<S: TraceSink> CascadedSfc<S> {
 
     /// Insert a request whose characterization value was computed
     /// elsewhere (via [`Encapsulator::map_batch_into`] on a shared
-    /// reference, typically by a producer thread). Anchored at the
-    /// request's own arrival time — exactly the insertion
-    /// [`DiskScheduler::enqueue_batch`] performs after `map_batch`, so a
-    /// stream of `insert_characterized` calls in batch order is
-    /// bit-identical to `enqueue_batch` on the concatenation.
+    /// reference). Anchored at the request's own arrival time — exactly
+    /// the insertion [`DiskScheduler::enqueue_batch`] performs after
+    /// `map_batch`, so a stream of `insert_characterized` calls in batch
+    /// order is bit-identical to `enqueue_batch` on the concatenation.
     pub fn insert_characterized(&mut self, req: Request, v: u128) {
         let now = req.arrival_us;
         self.dispatcher.insert_traced(req, v, now, &mut self.sink);
-    }
-
-    /// Insert an arrival chunk whose characterization values were
-    /// computed elsewhere — `values[i]` for `chunk[i]`, typically filled
-    /// by producer threads through [`Encapsulator::map_batch_fill`]. Each
-    /// request is anchored at its own arrival time, so this is
-    /// bit-identical to [`DiskScheduler::enqueue_batch`] on `chunk`
-    /// (pinned by `sim`'s concurrent-ingest tests and the oracle
-    /// `diff_batch` gate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` and `chunk` differ in length.
-    pub fn insert_characterized_chunk(&mut self, chunk: &[Request], values: &[u128]) {
-        self.dispatcher
-            .insert_bulk_traced(chunk, values, &mut self.sink);
     }
 
     /// The attached trace sink.

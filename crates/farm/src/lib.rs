@@ -180,26 +180,21 @@ pub fn route_trace<S: TraceSink>(
 }
 
 /// Route `trace` across the farm and deliver each shard's backlog into
-/// its Cascaded-SFC scheduler through the multi-producer ingest path:
-/// per shard, `cfg.parallelism` router threads characterize contiguous
-/// slices of the routed sub-trace in parallel (the lane-batched
-/// encapsulator pass), each into its own disjoint slice of one value
-/// buffer, and the backlog is inserted in one bulk pass —
-/// [`sim::ingest_concurrent`], bit-identical to a serial
-/// `enqueue_batch` of the same backlog.
+/// its Cascaded-SFC scheduler with one
+/// [`sched::DiskScheduler::enqueue_batch`] per shard.
 ///
 /// `heads[i]` anchors shard `i`'s head position; each shard's chunk is
 /// time-anchored at its first routed arrival, matching the engine's
-/// chunk-delivery convention. Returns the placement (so callers can
-/// reconcile routed counts against queue depths) alongside the number of
-/// producer threads used on the busiest shard.
+/// chunk-delivery convention. Returns the placement, so callers can
+/// reconcile routed counts against queue depths. `cfg.parallelism` does
+/// not apply: ingest is serial.
 pub fn ingest_routed<S: TraceSink, T: TraceSink>(
     trace: &[Request],
     cfg: &FarmConfig,
     schedulers: &mut [cascade::CascadedSfc<T>],
     heads: &[HeadState],
     sink: &mut S,
-) -> (Placement, usize) {
+) -> Placement {
     assert_eq!(
         schedulers.len(),
         cfg.shards,
@@ -216,21 +211,17 @@ pub fn ingest_routed<S: TraceSink, T: TraceSink>(
     );
     let capacities: Vec<Option<usize>> = schedulers.iter().map(|s| s.queue_capacity()).collect();
     let placement = route_trace(trace, cfg, &capacities, sink);
-    let mut max_producers = 0usize;
-    for (shard, scheduler) in schedulers.iter_mut().enumerate() {
-        let backlog = &placement.shard_traces[shard];
-        if backlog.is_empty() {
-            continue;
+    for ((scheduler, backlog), head) in schedulers
+        .iter_mut()
+        .zip(&placement.shard_traces)
+        .zip(heads)
+    {
+        if let Some(first) = backlog.first() {
+            let head = HeadState::new(head.cylinder, first.arrival_us, head.cylinders);
+            scheduler.enqueue_batch(backlog, &head);
         }
-        let head = HeadState::new(
-            heads[shard].cylinder,
-            backlog[0].arrival_us,
-            heads[shard].cylinders,
-        );
-        let used = sim::ingest_concurrent(scheduler, backlog, &head, cfg.parallelism);
-        max_producers = max_producers.max(used);
     }
-    (placement, max_producers)
+    placement
 }
 
 /// Result of a farm run: per-shard metrics plus farm-level accounting.
@@ -290,24 +281,14 @@ pub fn simulate_farm(
     make_scheduler: impl Fn(usize) -> Box<dyn DiskScheduler> + Sync,
     options: SimOptions,
 ) -> (FarmOutcome, Snapshot) {
-    simulate_farm_with(trace, cfg, make_scheduler, options, |_| {
-        DiskService::table1()
-    })
-}
-
-/// [`simulate_farm`] with a custom per-shard service model (e.g. a
-/// fault-injected [`DiskService`] per shard).
-pub fn simulate_farm_with(
-    trace: &[Request],
-    cfg: &FarmConfig,
-    make_scheduler: impl Fn(usize) -> Box<dyn DiskScheduler> + Sync,
-    options: SimOptions,
-    make_service: impl Fn(usize) -> DiskService + Sync,
-) -> (FarmOutcome, Snapshot) {
-    let (outcome, sinks) =
-        simulate_farm_traced(trace, cfg, make_scheduler, options, make_service, |_| {
-            Snapshot::new()
-        });
+    let (outcome, sinks) = simulate_farm_traced(
+        trace,
+        cfg,
+        make_scheduler,
+        options,
+        |_| DiskService::table1(),
+        |_| Snapshot::new(),
+    );
     // Snapshot accumulation is commutative, so folding per-shard sinks in
     // shard order reproduces the single-sink totals bit for bit.
     let mut group = Snapshot::new();
@@ -334,7 +315,8 @@ impl<S: TraceSink> TraceSink for RouterDemux<'_, S> {
     }
 }
 
-/// [`simulate_farm_with`] with one caller-built [`TraceSink`] per shard.
+/// [`simulate_farm`] with a caller-built service model and
+/// [`TraceSink`] per shard.
 ///
 /// `make_sink(shard)` runs serially up front; each sink then receives, in
 /// order: the routing pass's [`TraceEvent::Redirect`] events whose
@@ -439,10 +421,10 @@ mod tests {
             .collect()
     }
 
-    /// The multi-producer front door: routing a trace into per-shard
-    /// Cascaded-SFC schedulers through `ingest_routed` must leave every
-    /// shard bit-identical (dequeue order and counters) to routing the
-    /// same trace and serially batch-enqueueing each shard's backlog.
+    /// Routing a trace into per-shard Cascaded-SFC schedulers through
+    /// `ingest_routed` must leave every shard bit-identical (placement,
+    /// queue length, dequeue order and counters) to routing the same
+    /// trace and batch-enqueueing each shard's backlog by hand.
     #[test]
     fn ingest_routed_matches_serial_per_shard_enqueue() {
         use cascade::{CascadeConfig, CascadedSfc};
@@ -461,10 +443,8 @@ mod tests {
                     .collect::<Vec<_>>()
             };
             let heads: Vec<HeadState> = (0..3).map(|s| HeadState::new(s * 900, 0, 3832)).collect();
-            let mut concurrent = mk();
-            let (placement, used) =
-                ingest_routed(&trace, &cfg, &mut concurrent, &heads, &mut obs::NullSink);
-            assert!(used > 1, "{policy:?}: producer fan-out engaged");
+            let mut routed = mk();
+            let placement = ingest_routed(&trace, &cfg, &mut routed, &heads, &mut obs::NullSink);
 
             let mut serial = mk();
             let reference = route_trace(&trace, &cfg, &[None; 3], &mut obs::NullSink);
@@ -487,12 +467,12 @@ mod tests {
                     "{policy:?}"
                 );
                 assert_eq!(
-                    concurrent[shard].len() as u64,
+                    routed[shard].len() as u64,
                     placement.routed_per_shard[shard],
                     "{policy:?}"
                 );
                 loop {
-                    let a = concurrent[shard].dequeue(&heads[shard]);
+                    let a = routed[shard].dequeue(&heads[shard]);
                     let b = serial[shard].dequeue(&heads[shard]);
                     assert_eq!(
                         a.as_ref().map(|r| r.id),
@@ -504,7 +484,7 @@ mod tests {
                     }
                 }
                 assert_eq!(
-                    concurrent[shard].dispatch_counters(),
+                    routed[shard].dispatch_counters(),
                     serial[shard].dispatch_counters(),
                     "{policy:?} shard {shard}"
                 );

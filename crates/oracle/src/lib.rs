@@ -42,7 +42,7 @@
 //! [`smoke::run`] bundles a fixed battery of all three into the CI gate
 //! wired through `ci.sh` (`oracle --mode smoke`). [`batch::diff_batch`]
 //! (`oracle --mode diff-batch`) holds the vectorized characterization
-//! pipeline and the multi-producer ingest path to the scalar/serial
+//! pipeline and the bulk enqueue path to the scalar/serial
 //! reference on the committed corpus — the semantic counterpart of the
 //! `bench perf` speedup claims. The perf-regression half of the gate
 //! lives in `bench` (`perf --mode check` against the committed

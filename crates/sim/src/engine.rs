@@ -1,11 +1,15 @@
 //! The discrete-event simulation loop.
 //!
-//! One disk, one scheduler, one pre-generated arrival trace. The loop
-//! alternates between delivering arrivals to the scheduler (at their
-//! arrival times, with the head state of that moment) and letting the
-//! disk serve the scheduler's next pick. Priority inversions are counted
-//! at each service start against the requests still waiting, per the
-//! paper's definition.
+//! One disk, one scheduler, one arrival-ordered slice of requests. The
+//! single drive loop, [`EngineCore::drive`], alternates between
+//! delivering every arrival at or before the clock to the scheduler as
+//! one chunk (with the head state of that moment) and letting the disk
+//! serve the scheduler's next pick, idle-jumping to the next arrival
+//! when the queue runs dry. The batch entry points ([`simulate`] and
+//! friends) drive a whole trace with no horizon; the incremental
+//! [`crate::EngineStepper`] drives its submitted backlog up to a
+//! horizon. Priority inversions are counted at each service start
+//! against the requests still waiting, per the paper's definition.
 
 use crate::metrics::Metrics;
 use crate::service::{ServiceFault, ServiceProvider};
@@ -262,15 +266,14 @@ fn span_clock(sampler: Option<&mut obs::StageSampler>) -> Option<std::time::Inst
     }
 }
 
-/// The engine's mutable spine, shared between the batch loop
+/// The engine's mutable spine, shared between the batch entry points
 /// ([`simulate`] and friends) and the incremental stepper
 /// ([`crate::EngineStepper`]): policy knobs, accumulated metrics, the
-/// simulation clock and the span samplers. Both drivers funnel arrival
-/// delivery through [`EngineCore::enqueue_chunk`] and service through
-/// [`EngineCore::step`], so a stepper-driven run over the same arrivals
+/// simulation clock and the span samplers. Both call the one drive loop,
+/// [`EngineCore::drive`], so a stepper-driven run over the same arrivals
 /// is bit-identical to a batch run.
 pub(crate) struct EngineCore {
-    pub(crate) options: SimOptions,
+    options: SimOptions,
     pub(crate) metrics: Metrics,
     pub(crate) now: Micros,
     pub(crate) cylinders: u32,
@@ -294,15 +297,53 @@ impl EngineCore {
 
     /// Whether `r` falls inside the measurement window (past warm-up).
     #[inline]
-    pub(crate) fn measured(&self, r: &Request) -> bool {
+    fn measured(&self, r: &Request) -> bool {
         r.arrival_us >= self.options.warmup_us
+    }
+
+    /// The drive loop: deliver every arrival at or before the clock as
+    /// one chunk, make one [`Self::step`], and on an empty dispatch
+    /// idle-jump to the next arrival at or before `horizon_us`. Returns
+    /// the number of leading `arrivals` delivered once the clock reaches
+    /// the horizon, or once the queue is empty and no undelivered
+    /// arrival falls inside it.
+    ///
+    /// A dispatch is attempted even when the queue looks empty: an empty
+    /// dequeue is a real scheduler interaction (the conditional
+    /// dispatcher resets its preemption anchor on one), so chunk
+    /// boundaries and dispatch attempts depend only on the arrivals and
+    /// the clock, never on how a caller splits its pumps.
+    pub(crate) fn drive<S: TraceSink>(
+        &mut self,
+        arrivals: &[Request],
+        horizon_us: Micros,
+        scheduler: &mut dyn DiskScheduler,
+        service: &mut dyn ServiceProvider,
+        mut log: Option<&mut Vec<RequestRecord>>,
+        sink: &mut S,
+    ) -> usize {
+        let mut delivered = 0usize;
+        while self.now < horizon_us {
+            let first = delivered;
+            while delivered < arrivals.len() && arrivals[delivered].arrival_us <= self.now {
+                delivered += 1;
+            }
+            self.enqueue_chunk(&arrivals[first..delivered], scheduler, &*service, sink);
+            if !self.step(scheduler, service, log.as_deref_mut(), sink) {
+                match arrivals.get(delivered) {
+                    Some(r) if r.arrival_us <= horizon_us => self.now = self.now.max(r.arrival_us),
+                    _ => break,
+                }
+            }
+        }
+        delivered
     }
 
     /// Deliver one arrival chunk. The head does not move between the
     /// arrivals of a chunk (no service runs in between), so the whole
     /// chunk shares one head position anchored at its first arrival; the
     /// scheduler anchors each request at its own arrival time.
-    pub(crate) fn enqueue_chunk<S: TraceSink>(
+    fn enqueue_chunk<S: TraceSink>(
         &mut self,
         chunk: &[Request],
         scheduler: &mut dyn DiskScheduler,
@@ -311,6 +352,11 @@ impl EngineCore {
     ) {
         if chunk.is_empty() {
             return;
+        }
+        for r in chunk {
+            if self.measured(r) {
+                self.metrics.record_request(r);
+            }
         }
         if S::ENABLED {
             for r in chunk {
@@ -335,9 +381,9 @@ impl EngineCore {
     }
 
     /// One dequeue-and-serve step at the current clock. Returns `false`
-    /// when the scheduler had nothing to dispatch (the driver decides
+    /// when the scheduler had nothing to dispatch (the drive loop decides
     /// whether to idle-jump or stop).
-    pub(crate) fn step<S: TraceSink>(
+    fn step<S: TraceSink>(
         &mut self,
         scheduler: &mut dyn DiskScheduler,
         service: &mut dyn ServiceProvider,
@@ -588,41 +634,15 @@ fn simulate_inner<S: TraceSink>(
     trace: &[Request],
     service: &mut dyn ServiceProvider,
     options: SimOptions,
-    mut log: Option<&mut Vec<RequestRecord>>,
+    log: Option<&mut Vec<RequestRecord>>,
     sink: &mut S,
 ) -> Metrics {
     let mut core = EngineCore::new(options, service.cylinders(), S::ENABLED);
-    for r in trace {
-        if core.measured(r) {
-            core.metrics.record_request(r);
-        }
-    }
-
-    let mut next_arrival = 0usize;
-    loop {
-        // Deliver every arrival up to `now` as one chunk.
-        let first_arrival = next_arrival;
-        while next_arrival < trace.len() && trace[next_arrival].arrival_us <= core.now {
-            next_arrival += 1;
-        }
-        core.enqueue_chunk(
-            &trace[first_arrival..next_arrival],
-            scheduler,
-            &*service,
-            sink,
-        );
-
-        if !core.step(scheduler, service, log.as_deref_mut(), sink) {
-            // Idle: jump to the next arrival, or finish.
-            if next_arrival < trace.len() {
-                core.now = core.now.max(trace[next_arrival].arrival_us);
-            } else if scheduler.is_empty() {
-                break;
-            } else {
-                unreachable!("scheduler returned None while non-empty");
-            }
-        }
-    }
+    core.drive(trace, Micros::MAX, scheduler, service, log, sink);
+    assert!(
+        scheduler.is_empty(),
+        "scheduler returned None while non-empty"
+    );
     core.metrics
 }
 
@@ -633,7 +653,10 @@ fn count_inversions(scheduler: &dyn DiskScheduler, served: &Request, metrics: &m
     if dims == 0 {
         return;
     }
-    let mut per_dim = vec![0u64; dims];
+    // `QosVector` caps dimensions at `MAX_QOS_DIMS`, so the per-service
+    // tally lives on the stack.
+    let mut per_dim = [0u64; sched::MAX_QOS_DIMS];
+    let per_dim = &mut per_dim[..dims];
     scheduler.for_each_pending(&mut |waiting: &Request| {
         for (k, slot) in per_dim.iter_mut().enumerate() {
             if waiting.qos.dims() > k && waiting.qos.beats_in_dim(&served.qos, k) {
@@ -641,8 +664,8 @@ fn count_inversions(scheduler: &dyn DiskScheduler, served: &Request, metrics: &m
             }
         }
     });
-    for (k, v) in per_dim.into_iter().enumerate() {
-        metrics.inversions_per_dim[k] += v;
+    for (total, v) in metrics.inversions_per_dim.iter_mut().zip(per_dim) {
+        *total += *v;
     }
 }
 

@@ -10,9 +10,6 @@
 //! fixed, the parallel path is bit-identical to the serial one — callers
 //! pick [`Parallelism`] purely on wall-clock grounds.
 
-use cascade::CascadedSfc;
-use obs::TraceSink;
-use sched::{HeadState, Request};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -91,64 +88,6 @@ where
                 .expect("every index was claimed by a worker")
         })
         .collect()
-}
-
-/// Ingest one arrival chunk into a Cascaded-SFC scheduler through
-/// multiple producer threads, bit-identical to a serial
-/// [`sched::DiskScheduler::enqueue_batch`] of the same chunk.
-///
-/// The chunk is split into contiguous slices of at most
-/// `ceil(len / producers)` requests, and one value buffer of the chunk's
-/// length into the matching disjoint `chunks_mut` slices. Each producer
-/// characterizes its request slice through the shared encapsulator
-/// straight into its value slice
-/// ([`cascade::Encapsulator::map_batch_fill`], the lane-parallel batch
-/// pass). Once the producers join, the whole chunk is inserted in one
-/// bulk pass with `values[i]` for `chunk[i]`
-/// ([`cascade::CascadedSfc::insert_characterized_chunk`]), each request
-/// anchored at its own arrival time. Chunk order holds by construction —
-/// no lock, sequence stamp or drain step — so the insertion sequence is
-/// exactly the serial one regardless of thread interleaving. This is
-/// what lets a farm shard accept arrivals from several router threads
-/// without forking its dispatch order from the single-threaded
-/// reference.
-///
-/// `parallelism` bounds the producer count ([`Parallelism::Serial`] or a
-/// chunk of fewer than two requests short-circuits to the plain batched
-/// enqueue). Returns the number of producer threads used (one per slice).
-pub fn ingest_concurrent<S: TraceSink>(
-    scheduler: &mut CascadedSfc<S>,
-    chunk: &[Request],
-    head: &HeadState,
-    parallelism: Parallelism,
-) -> usize {
-    use sched::DiskScheduler;
-    let producers = parallelism.worker_count(chunk.len());
-    if producers <= 1 || chunk.len() < 2 {
-        scheduler.enqueue_batch(chunk, head);
-        return 1;
-    }
-    let per = chunk.len().div_ceil(producers);
-    let mut values = vec![0u128; chunk.len()];
-    let enc = scheduler.encapsulator();
-    std::thread::scope(|scope| {
-        let mut slices = chunk.chunks(per).zip(values.chunks_mut(per));
-        // The calling thread is producer 0: it would otherwise idle in
-        // the scope join while the others characterize.
-        let (own, own_out) = slices.next().expect("non-empty chunk");
-        for (slice, out) in slices {
-            // Producer threads run a shallow, iterative batch pass; the
-            // default 8 MiB stacks would dominate the spawn cost (page
-            // table setup) for chunk-sized work, so keep them small.
-            std::thread::Builder::new()
-                .stack_size(64 * 1024)
-                .spawn_scoped(scope, move || enc.map_batch_fill(slice, head, out))
-                .expect("spawn ingest producer");
-        }
-        enc.map_batch_fill(own, head, own_out);
-    });
-    scheduler.insert_characterized_chunk(chunk, &values);
-    chunk.len().div_ceil(per)
 }
 
 #[cfg(test)]

@@ -45,15 +45,12 @@ pub use backoff::jittered_backoff_us;
 pub use engine::{
     simulate, simulate_logged, simulate_traced, RequestRecord, RetryPolicy, SimOptions,
 };
-pub use exec::{ingest_concurrent, run_indexed, Parallelism};
+pub use exec::{run_indexed, Parallelism};
 pub use metrics::{fifo_inversion_baseline, Metrics};
 pub use service::{
     DiskService, Raid5Service, ServiceFault, ServiceOutcome, ServiceProvider, TransferDominated,
 };
 pub use step::EngineStepper;
-pub use striped::{
-    simulate_striped, simulate_striped_faulted, simulate_striped_observed,
-    simulate_striped_observed_on, StripedOutcome,
-};
+pub use striped::{simulate_striped, simulate_striped_faulted, StripedOutcome};
 
 pub use sched::Micros;

@@ -8,20 +8,17 @@
 //!
 //! ## Bit-identity with the batch engine
 //!
-//! Both drivers funnel through the same [`EngineCore`] delivery/serve
-//! code, and the stepper only dequeues once every arrival at or before
-//! the current clock has been submitted (callers must pump to an event's
-//! time *before* applying the event). Arrival chunks therefore break at
-//! exactly the same points as the batch loop's, and the stepper attempts
-//! a dispatch even on an apparently empty queue exactly where the batch
-//! loop would (an empty dequeue resets dispatcher-internal state such as
-//! the conditional preemption anchor), so a stepper fed a whole trace
-//! produces bit-identical metrics, events and completion times to
-//! [`crate::simulate`] over that trace — the property the oracle's
-//! daemon replay gate enforces. Stage spans are a batch-driver feature
-//! and are never sampled here.
-
-use std::collections::VecDeque;
+//! There is one drive loop, [`EngineCore`]'s `drive`: the batch entry
+//! points run it over a whole trace with no horizon, and a pump runs it
+//! over the submitted backlog up to the pump's horizon, then drops the
+//! delivered prefix. Callers must pump to an event's time *before*
+//! applying the event, so every arrival at or before the clock has been
+//! submitted whenever the loop dequeues. Arrival chunks therefore break
+//! at exactly the same points as in a batch run, and a stepper fed a
+//! whole trace produces bit-identical metrics, events and completion
+//! times to [`crate::simulate`] over that trace — the property the
+//! oracle's daemon replay gate enforces. Stage spans are a batch-only
+//! feature and are never sampled here.
 
 use obs::TraceSink;
 use sched::{DiskScheduler, Micros, Request};
@@ -37,7 +34,7 @@ use crate::SimOptions;
 /// can outlive any one of them.
 pub struct EngineStepper {
     core: EngineCore,
-    pending: VecDeque<Request>,
+    pending: Vec<Request>,
     last_arrival_us: Micros,
 }
 
@@ -46,7 +43,7 @@ impl EngineStepper {
     pub fn new(options: SimOptions, cylinders: u32) -> Self {
         EngineStepper {
             core: EngineCore::new(options, cylinders, false),
-            pending: VecDeque::new(),
+            pending: Vec::new(),
             last_arrival_us: 0,
         }
     }
@@ -86,14 +83,14 @@ impl EngineStepper {
             self.last_arrival_us
         );
         self.last_arrival_us = r.arrival_us;
-        self.pending.push_back(r);
+        self.pending.push(r);
     }
 
     /// Remove and return every submitted-but-undelivered arrival, in
     /// submission order — the migration hook: a draining shard hands
     /// these off without them ever touching its scheduler or metrics.
     pub fn take_pending(&mut self) -> Vec<Request> {
-        self.pending.drain(..).collect()
+        std::mem::take(&mut self.pending)
     }
 
     /// Pump the engine until the clock reaches `horizon_us`: every
@@ -114,43 +111,10 @@ impl EngineStepper {
         sink: &mut S,
     ) {
         self.core.cylinders = service.cylinders();
-        loop {
-            if self.core.now >= horizon_us {
-                return;
-            }
-            // Deliver every submitted arrival up to `now` as one chunk —
-            // the same chunk boundaries the batch loop produces, because
-            // callers pump to an event's time before acting on it, so no
-            // later-submitted arrival could have joined this chunk.
-            let mut n = 0;
-            while n < self.pending.len() && self.pending[n].arrival_us <= self.core.now {
-                n += 1;
-            }
-            if n > 0 {
-                let chunk: Vec<Request> = self.pending.drain(..n).collect();
-                for r in &chunk {
-                    if self.core.measured(r) {
-                        self.core.metrics.record_request(r);
-                    }
-                }
-                self.core.enqueue_chunk(&chunk, scheduler, &*service, sink);
-            }
-            // Attempt a dispatch even when the queue looks empty — the
-            // batch loop does, and an empty dequeue is a real scheduler
-            // interaction (the conditional dispatcher resets its
-            // preemption anchor on one). Skipping it here would let the
-            // two drivers diverge after any idle period.
-            if !self.core.step(scheduler, service, None, sink) {
-                // Idle: jump to the next submitted arrival inside the
-                // horizon, or yield back to the caller.
-                match self.pending.front() {
-                    Some(r) if r.arrival_us <= horizon_us => {
-                        self.core.now = self.core.now.max(r.arrival_us);
-                    }
-                    _ => return,
-                }
-            }
-        }
+        let delivered = self
+            .core
+            .drive(&self.pending, horizon_us, scheduler, service, None, sink);
+        self.pending.drain(..delivered);
     }
 
     /// Drain a pull-based [`workload::stream::TraceSource`] through the

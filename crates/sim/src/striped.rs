@@ -125,45 +125,6 @@ pub fn simulate_striped_faulted(
     (outcome, group)
 }
 
-/// [`simulate_striped`] with one [`Snapshot`] sink per member, merged
-/// into a single group-level snapshot. The snapshot's event-derived
-/// counters reconcile with [`StripedOutcome::aggregate`]: dispatches ==
-/// served + dropped, service completes == served, drops == dropped.
-pub fn simulate_striped_observed(
-    trace: &[Request],
-    members: usize,
-    make_scheduler: impl Fn() -> Box<dyn DiskScheduler> + Sync,
-    options: SimOptions,
-) -> (StripedOutcome, Snapshot) {
-    simulate_striped_observed_on(trace, members, make_scheduler, options, Parallelism::auto())
-}
-
-/// [`simulate_striped_observed`] with an explicit executor choice. Member
-/// sinks merge in member order, so the group snapshot is bit-identical
-/// between [`Parallelism::Serial`] and any thread count.
-pub fn simulate_striped_observed_on(
-    trace: &[Request],
-    members: usize,
-    make_scheduler: impl Fn() -> Box<dyn DiskScheduler> + Sync,
-    options: SimOptions,
-    parallelism: Parallelism,
-) -> (StripedOutcome, Snapshot) {
-    let (outcome, sinks) = run_striped(
-        trace,
-        members,
-        make_scheduler,
-        options,
-        |_| DiskService::table1(),
-        Snapshot::new,
-        parallelism,
-    );
-    let mut group = Snapshot::new();
-    for member in &sinks {
-        group.merge(member);
-    }
-    (outcome, group)
-}
-
 /// Shared member fan-out: route, sort, and simulate each member with its
 /// own scheduler, service model, and sink, under the chosen executor.
 fn run_striped<S: TraceSink + Send>(
@@ -348,15 +309,28 @@ mod tests {
         );
     }
 
-    #[test]
-    fn observed_snapshot_reconciles_with_aggregate_metrics() {
-        let trace = batch(400);
-        let (out, snap) = simulate_striped_observed(
-            &trace,
+    /// [`run_striped`] with one [`Snapshot`] per member, merged into one
+    /// group-level snapshot in member order.
+    fn observed(trace: &[Request], parallelism: Parallelism) -> (StripedOutcome, Snapshot) {
+        let (outcome, sinks) = run_striped(
+            trace,
             5,
             || Box::new(Fcfs::new()),
             SimOptions::with_shape(1, 2),
+            |_| DiskService::table1(),
+            Snapshot::new,
+            parallelism,
         );
+        let mut group = Snapshot::new();
+        for member in &sinks {
+            group.merge(member);
+        }
+        (outcome, group)
+    }
+
+    #[test]
+    fn observed_snapshot_reconciles_with_aggregate_metrics() {
+        let (out, snap) = observed(&batch(400), Parallelism::auto());
         let total = out.aggregate();
         let c = &snap.counters;
         assert_eq!(c.arrivals, 400);
@@ -370,22 +344,11 @@ mod tests {
 
     #[test]
     fn parallel_executor_is_bit_identical_to_serial() {
+        // Member sinks merge in member order, so the group snapshot does
+        // not depend on the executor.
         let trace = batch(400);
-        let options = SimOptions::with_shape(1, 2);
-        let (serial, serial_snap) = simulate_striped_observed_on(
-            &trace,
-            5,
-            || Box::new(Fcfs::new()),
-            options,
-            Parallelism::Serial,
-        );
-        let (parallel, parallel_snap) = simulate_striped_observed_on(
-            &trace,
-            5,
-            || Box::new(Fcfs::new()),
-            options,
-            Parallelism::threads(4),
-        );
+        let (serial, serial_snap) = observed(&trace, Parallelism::Serial);
+        let (parallel, parallel_snap) = observed(&trace, Parallelism::threads(4));
         assert_eq!(serial.per_member, parallel.per_member);
         assert_eq!(serial.makespan_us, parallel.makespan_us);
         assert_eq!(serial_snap, parallel_snap);
